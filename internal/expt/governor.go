@@ -33,30 +33,7 @@ func GovernedMesh(cfg Config, pl *Pipeline, pol governor.Policy, capW float64,
 	if err != nil {
 		return nil, governor.Summary{}, err
 	}
-	return governedRun(cfg, pl, meshSys, pol, capW, log, onDecision)
-}
-
-// governedRun is GovernedMesh on a prebuilt mesh system (the study shares
-// one system across its three policy runs; the system is read-only under
-// RunGoverned, which simulates on a copy).
-func governedRun(cfg Config, pl *Pipeline, meshSys *sim.System, pol governor.Policy, capW float64,
-	log *governor.Log, onDecision func(governor.Decision)) (*sim.RunResult, governor.Summary, error) {
-	g := governor.New(governor.Config{
-		Policy:    pol,
-		Plan:      pl.Plan.VFI2,
-		Table:     platform.DefaultDVFSTable(),
-		Margin:    cfg.VFI.FreqMargin,
-		CapW:      capW,
-		Protected: pl.Plan.RaisedIslands,
-		Core:      cfg.Build.CoreModel,
-	})
-	g.SetLog(log)
-	g.OnDecision(onDecision)
-	run, err := sim.RunGoverned(pl.Workload, meshSys, g, sim.DefaultDVFSTransition())
-	if err != nil {
-		return nil, governor.Summary{}, err
-	}
-	return run, g.Summary(), nil
+	return governedRun(cfg, pl.Workload, pl.Plan, meshSys, pol, capW, log, onDecision)
 }
 
 // GovernedSystem executes workload w on a prebuilt VFI 2 mesh system under
@@ -65,6 +42,15 @@ func governedRun(cfg Config, pl *Pipeline, meshSys *sim.System, pol governor.Pol
 // scenario dimension.
 func GovernedSystem(cfg Config, w *sim.Workload, plan vfi.Plan, meshSys *sim.System,
 	pol governor.Policy, capW float64) (*sim.RunResult, governor.Summary, error) {
+	return governedRun(cfg, w, plan, meshSys, pol, capW, nil, nil)
+}
+
+// governedRun starts every governed run: it builds the governor for plan
+// under pol, attaches the optional log and decision callback, and runs w
+// on meshSys. The system is read-only under RunGoverned (it simulates on a
+// copy), so callers may share one system across runs.
+func governedRun(cfg Config, w *sim.Workload, plan vfi.Plan, meshSys *sim.System, pol governor.Policy, capW float64,
+	log *governor.Log, onDecision func(governor.Decision)) (*sim.RunResult, governor.Summary, error) {
 	g := governor.New(governor.Config{
 		Policy:    pol,
 		Plan:      plan.VFI2,
@@ -74,6 +60,8 @@ func GovernedSystem(cfg Config, w *sim.Workload, plan vfi.Plan, meshSys *sim.Sys
 		Protected: plan.RaisedIslands,
 		Core:      cfg.Build.CoreModel,
 	})
+	g.SetLog(log)
+	g.OnDecision(onDecision)
 	run, err := sim.RunGoverned(w, meshSys, g, sim.DefaultDVFSTransition())
 	if err != nil {
 		return nil, governor.Summary{}, err
@@ -142,7 +130,7 @@ func (s *Suite) GovernorStudy(capW float64) ([]GovernorRow, error) {
 			go func(i, p int, pl *Pipeline, pol governor.Policy, meshSys *sim.System) {
 				defer wg.Done()
 				s.pool.DoNamed("sim:governor", pl.App.Name, func() {
-					run, sum, err := governedRun(s.Config, pl, meshSys, pol, capW, nil, nil)
+					run, sum, err := governedRun(s.Config, pl.Workload, pl.Plan, meshSys, pol, capW, nil, nil)
 					if err != nil {
 						errs[i*len(policies)+p] = err
 						return

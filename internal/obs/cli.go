@@ -54,7 +54,8 @@ func (c *CLI) Start(cmd string) error {
 		Install(c.rec)
 	}
 	if c.DebugAddr != "" {
-		addr, err := ServeDebug(c.DebugAddr)
+		// The server serves until the process exits.
+		addr, _, err := StartDebugServer(c.DebugAddr)
 		if err != nil {
 			return fmt.Errorf("%s: debug server: %w", cmd, err)
 		}

@@ -48,12 +48,3 @@ func StartDebugServer(addr string) (string, *http.Server, error) {
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown/Close is the normal exit
 	return ln.Addr().String(), srv, nil
 }
-
-// ServeDebug starts a debug server that serves until the process exits —
-// the fire-and-forget form behind the -debug-addr flag of the CLIs. It
-// returns the bound address. Callers that need to stop the server use
-// StartDebugServer instead.
-func ServeDebug(addr string) (string, error) {
-	bound, _, err := StartDebugServer(addr)
-	return bound, err
-}

@@ -211,10 +211,11 @@ func TestDisabledTelemetryAllocatesNothing(t *testing.T) {
 }
 
 func TestServeDebugExposesPprofAndExpvar(t *testing.T) {
-	addr, err := ServeDebug("127.0.0.1:0")
+	addr, srv, err := StartDebugServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	resp, err := http.Get("http://" + addr + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)

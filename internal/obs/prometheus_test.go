@@ -118,10 +118,11 @@ func TestWritePrometheusHistogram(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	c := NewCounter("promtest.endpoint")
 	c.Add(7)
-	addr, err := ServeDebug("localhost:0")
+	addr, srv, err := StartDebugServer("localhost:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
 	if err != nil {
 		t.Fatal(err)

@@ -129,8 +129,28 @@ func (r *RunResult) Profile() platform.Profile {
 	return platform.Profile{Util: util, Traffic: traffic}
 }
 
-// Run executes the workload on the system.
+// Run executes the workload on the system with its static VFI
+// configuration held for every phase — the paper's per-island V/F.
 func Run(w *Workload, s *System) (*RunResult, error) {
+	return run(w, s, s.Name, fixed(s.VFI), DVFSTransition{})
+}
+
+// fixed is the controller of Run: the same configuration for every phase.
+type fixed platform.VFIConfig
+
+func (f fixed) Decide(*PhaseObservation, int, PhaseKind) platform.VFIConfig {
+	return platform.VFIConfig(f)
+}
+
+func (fixed) Finish(*PhaseObservation) {}
+
+// run is the one phase loop behind Run, RunPhased and RunGoverned. Before
+// each phase it asks ctrl for the island configuration, checks that the
+// configuration moves only operating points (never cores between islands),
+// executes the phase at it and hands the observation of the executed phase
+// to the next Decide (the last one to Finish). Every island whose point
+// changed at a phase boundary pays tr. name labels the result.
+func run(w *Workload, s *System, name string, ctrl Controller, tr DVFSTransition) (*RunResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -141,21 +161,55 @@ func Run(w *Workload, s *System) (*RunResult, error) {
 	if w.Threads != n {
 		return nil, fmt.Errorf("sim: workload has %d threads for %d cores", w.Threads, n)
 	}
+	islands := s.VFI.Islands()
 	res := &RunResult{
-		System:        s.Name,
+		System:        name,
 		Workload:      w.Name,
 		BusySec:       make([]float64, n),
 		ThreadTraffic: zeroMatrix(n),
 	}
+	phaseSys := *s
 	freqs := make([]float64, n)
-	for th := 0; th < n; th++ {
-		freqs[th] = s.VFI.FreqOf(th)
-	}
-	for _, ph := range w.Phases {
-		pr, err := runPhase(&ph, s, freqs)
+	var prevCfg platform.VFIConfig
+	var obs *PhaseObservation
+	for i := range w.Phases {
+		ph := &w.Phases[i]
+		cfg := ctrl.Decide(obs, i, ph.Kind)
+		if len(cfg.Assign) != n {
+			return nil, fmt.Errorf("sim: phase %d config covers %d threads", i, len(cfg.Assign))
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: phase %d config: %w", i, err)
+		}
+		for th := 0; th < n; th++ {
+			if cfg.Assign[th] != s.VFI.Assign[th] {
+				return nil, fmt.Errorf("sim: phase %d reassigns thread %d between islands", i, th)
+			}
+			freqs[th] = cfg.FreqOf(th)
+		}
+		phaseSys.VFI = cfg
+		pr, err := runPhase(ph, &phaseSys, freqs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
 		}
+		// The observation describes the phase as executed, before the
+		// boundary transition stall is charged — the controller reasons
+		// about steady-state phase behaviour, not about its own actuation
+		// overhead (which it pays, and can count, separately).
+		obs = observePhase(i, ph, &pr, cfg, islands, s.CoreModel)
+		if i > 0 {
+			changed := 0
+			for j := range cfg.Points {
+				if cfg.Points[j] != prevCfg.Points[j] {
+					changed++
+				}
+			}
+			if changed > 0 {
+				pr.Seconds += tr.SettleSec
+				pr.CoreDynJ += float64(changed) * tr.EnergyJ
+			}
+		}
+		prevCfg = cfg
 		res.Phases = append(res.Phases, pr)
 		res.Report.ExecSeconds += pr.Seconds
 		res.Report.CoreDynamicJ += pr.CoreDynJ
@@ -168,6 +222,7 @@ func Run(w *Workload, s *System) (*RunResult, error) {
 			AddTraffic(res.ThreadTraffic, ph.Traffic)
 		}
 	}
+	ctrl.Finish(obs)
 	return res, nil
 }
 
@@ -254,19 +309,24 @@ func runPhase(ph *Phase, s *System, freqs []float64) (PhaseResult, error) {
 		}
 		pr.NetJ = pj * 1e-12
 	}
-	// Core energy: dynamic while busy, idle-clock for the rest, leakage
-	// for the whole phase, all at the thread's island operating point.
+	// Core energy at each thread's island operating point.
 	for th := 0; th < n; th++ {
-		op := s.VFI.PointOf(th)
 		b := busy[th]
 		if b > dur {
 			b = dur
 		}
-		pr.CoreDynJ += s.CoreModel.DynamicPowerW(op, 1)*b +
-			s.CoreModel.DynamicPowerW(op, 1)*s.CoreModel.IdleFrac*(dur-b)
-		pr.CoreLeakJ += s.CoreModel.LeakagePowerW(op) * dur
+		dynJ, leakJ := coreEnergyJ(s.CoreModel, s.VFI.PointOf(th), b, dur)
+		pr.CoreDynJ += dynJ
+		pr.CoreLeakJ += leakJ
 	}
 	return pr, nil
+}
+
+// coreEnergyJ is one core's energy over a phase of dur seconds, busy for
+// b <= dur of them, at operating point op: dynamic power while busy, the
+// idle-clock fraction of it for the rest, and leakage throughout.
+func coreEnergyJ(m energy.CoreModel, op platform.OperatingPoint, b, dur float64) (dynJ, leakJ float64) {
+	return m.DynamicPowerW(op, 1)*b + m.DynamicPowerW(op, 1)*m.IdleFrac*(dur-b), m.LeakagePowerW(op) * dur
 }
 
 // phaseDuration computes the phase makespan and per-thread busy times for a

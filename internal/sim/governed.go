@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
+	"wivfi/internal/energy"
 	"wivfi/internal/platform"
 	"wivfi/internal/sched"
 )
@@ -56,88 +55,14 @@ type Controller interface {
 // DVFSTransition cost exactly as in RunPhased, so results are directly
 // comparable to Run and RunPhased on the same system.
 func RunGoverned(w *Workload, s *System, ctrl Controller, tr DVFSTransition) (*RunResult, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	n := s.Chip.NumCores()
-	if w.Threads != n {
-		return nil, fmt.Errorf("sim: workload has %d threads for %d cores", w.Threads, n)
-	}
-	islands := s.VFI.Islands()
-	res := &RunResult{
-		System:        s.Name + "+governed",
-		Workload:      w.Name,
-		BusySec:       make([]float64, n),
-		ThreadTraffic: zeroMatrix(n),
-	}
-	governedSys := *s
-	var prevCfg platform.VFIConfig
-	var obs *PhaseObservation
-	for i := range w.Phases {
-		ph := w.Phases[i]
-		cfg := ctrl.Decide(obs, i, ph.Kind)
-		if len(cfg.Assign) != n {
-			return nil, fmt.Errorf("sim: phase %d governor config covers %d threads", i, len(cfg.Assign))
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: phase %d governor config: %w", i, err)
-		}
-		for th := 0; th < n; th++ {
-			if cfg.Assign[th] != s.VFI.Assign[th] {
-				return nil, fmt.Errorf("sim: phase %d governor reassigns thread %d between islands", i, th)
-			}
-		}
-		governedSys.VFI = cfg
-		freqs := make([]float64, n)
-		for th := 0; th < n; th++ {
-			freqs[th] = cfg.FreqOf(th)
-		}
-		pr, err := runPhase(&ph, &governedSys, freqs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
-		}
-		// The observation describes the phase as executed, before the
-		// boundary transition stall is charged — the controller reasons
-		// about steady-state phase behaviour, not about its own actuation
-		// overhead (which it pays, and can count, separately).
-		obs = observePhase(i, &ph, &pr, cfg, islands, &governedSys)
-		if i > 0 {
-			changed := 0
-			for j := range cfg.Points {
-				if cfg.Points[j] != prevCfg.Points[j] {
-					changed++
-				}
-			}
-			if changed > 0 {
-				pr.Seconds += tr.SettleSec
-				pr.CoreDynJ += float64(changed) * tr.EnergyJ
-			}
-		}
-		prevCfg = cfg
-		res.Phases = append(res.Phases, pr)
-		res.Report.ExecSeconds += pr.Seconds
-		res.Report.CoreDynamicJ += pr.CoreDynJ
-		res.Report.CoreLeakageJ += pr.CoreLeakJ
-		res.Report.NetworkJ += pr.NetJ
-		for th := range pr.BusySec {
-			res.BusySec[th] += pr.BusySec[th]
-		}
-		if ph.Traffic != nil {
-			AddTraffic(res.ThreadTraffic, ph.Traffic)
-		}
-	}
-	ctrl.Finish(obs)
-	return res, nil
+	return run(w, s, s.Name+"+governed", ctrl, tr)
 }
 
 // observePhase condenses one executed phase into the controller's signal
 // packet: per-island utilization, Map-phase queue depth and measured core
 // power at the operating points the phase ran at.
 func observePhase(index int, ph *Phase, pr *PhaseResult, cfg platform.VFIConfig,
-	islands [][]int, s *System) *PhaseObservation {
+	islands [][]int, core energy.CoreModel) *PhaseObservation {
 	m := len(islands)
 	o := &PhaseObservation{
 		Index:        index,
@@ -149,21 +74,19 @@ func observePhase(index int, ph *Phase, pr *PhaseResult, cfg platform.VFIConfig,
 	}
 	dur := pr.Seconds
 	for isl, cores := range islands {
-		var busy, energy float64
+		var busy, joules float64
 		for _, th := range cores {
 			b := pr.BusySec[th]
 			if b > dur {
 				b = dur
 			}
 			busy += b
-			op := cfg.PointOf(th)
-			energy += s.CoreModel.DynamicPowerW(op, 1)*b +
-				s.CoreModel.DynamicPowerW(op, 1)*s.CoreModel.IdleFrac*(dur-b) +
-				s.CoreModel.LeakagePowerW(op)*dur
+			dynJ, leakJ := coreEnergyJ(core, cfg.PointOf(th), b, dur)
+			joules += dynJ + leakJ
 		}
 		if dur > 0 {
 			o.IslandUtil[isl] = busy / (dur * float64(len(cores)))
-			o.IslandPowerW[isl] = energy / dur
+			o.IslandPowerW[isl] = joules / dur
 		}
 		if o.IslandUtil[isl] > 1 {
 			o.IslandUtil[isl] = 1

@@ -34,76 +34,21 @@ func DefaultDVFSTransition() DVFSTransition {
 // Island transitions between consecutive phases pay the DVFSTransition
 // cost. The result is directly comparable to Run on the same system.
 func RunPhased(w *Workload, s *System, configs []platform.VFIConfig, tr DVFSTransition) (*RunResult, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if len(configs) != len(w.Phases) {
 		return nil, fmt.Errorf("sim: %d phase configs for %d phases", len(configs), len(w.Phases))
 	}
-	n := s.Chip.NumCores()
-	for i, cfg := range configs {
-		if len(cfg.Assign) != n {
-			return nil, fmt.Errorf("sim: phase %d config covers %d threads", i, len(cfg.Assign))
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: phase %d config: %w", i, err)
-		}
-		for th := 0; th < n; th++ {
-			if cfg.Assign[th] != configs[0].Assign[th] {
-				return nil, fmt.Errorf("sim: phase %d reassigns thread %d between islands", i, th)
-			}
-		}
-	}
-	res := &RunResult{
-		System:        s.Name + "+phased-dvfs",
-		Workload:      w.Name,
-		BusySec:       make([]float64, n),
-		ThreadTraffic: zeroMatrix(n),
-	}
-	phasedSys := *s
-	for i := range w.Phases {
-		ph := w.Phases[i]
-		phasedSys.VFI = configs[i]
-		freqs := make([]float64, n)
-		for th := 0; th < n; th++ {
-			freqs[th] = configs[i].FreqOf(th)
-		}
-		pr, err := runPhase(&ph, &phasedSys, freqs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s/%v: %w", w.Name, ph.Kind, err)
-		}
-		// transition cost: every island whose point changed since the
-		// previous phase pays settle time (serializing the phase start)
-		// and transition energy
-		if i > 0 {
-			changed := 0
-			for j := range configs[i].Points {
-				if configs[i].Points[j] != configs[i-1].Points[j] {
-					changed++
-				}
-			}
-			if changed > 0 {
-				pr.Seconds += tr.SettleSec
-				pr.CoreDynJ += float64(changed) * tr.EnergyJ
-			}
-		}
-		res.Phases = append(res.Phases, pr)
-		res.Report.ExecSeconds += pr.Seconds
-		res.Report.CoreDynamicJ += pr.CoreDynJ
-		res.Report.CoreLeakageJ += pr.CoreLeakJ
-		res.Report.NetworkJ += pr.NetJ
-		for th := range pr.BusySec {
-			res.BusySec[th] += pr.BusySec[th]
-		}
-		if ph.Traffic != nil {
-			AddTraffic(res.ThreadTraffic, ph.Traffic)
-		}
-	}
-	return res, nil
+	return run(w, s, s.Name+"+phased-dvfs", schedule(configs), tr)
 }
+
+// schedule is the controller of RunPhased: a precomputed configuration
+// per phase, replayed regardless of what the run observes.
+type schedule []platform.VFIConfig
+
+func (c schedule) Decide(_ *PhaseObservation, index int, _ PhaseKind) platform.VFIConfig {
+	return c[index]
+}
+
+func (schedule) Finish(*PhaseObservation) {}
 
 // PhaseUtilMode selects how an island's per-phase utilization is summarized
 // when deriving phase-adaptive V/F.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"wivfi/internal/noc"
@@ -291,12 +292,28 @@ func TestSystemValidate(t *testing.T) {
 }
 
 func TestRunRejectsMismatchedWorkload(t *testing.T) {
-	w := testWorkload()
-	w.Threads = 32
-	w.Phases = w.Phases[1:2] // keep only map (no per-thread vectors)
+	// a valid 32-thread workload on the 64-core system
+	w := &Workload{
+		Name:    "half",
+		Threads: 32,
+		Phases: []Phase{
+			{Kind: Map, Tasks: 64, TaskCycles: 0.05e9},
+			{Kind: Reduce, WorkCycles: make([]float64, 32)},
+		},
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	s := nvfi(t)
 	if _, err := Run(w, s); err == nil {
-		t.Error("thread-count mismatch accepted")
+		t.Error("Run accepted a thread-count mismatch")
+	}
+	configs := []platform.VFIConfig{s.VFI, s.VFI}
+	if _, err := RunPhased(w, s, configs, DVFSTransition{}); err == nil {
+		t.Error("RunPhased accepted a thread-count mismatch")
+	}
+	if _, err := RunGoverned(w, s, &recorder{configs: configs}, DVFSTransition{}); err == nil {
+		t.Error("RunGoverned accepted a thread-count mismatch")
 	}
 }
 
@@ -458,11 +475,102 @@ func TestRunPhasedMatchesRunWithStaticConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(phased.Report.ExecSeconds-static.Report.ExecSeconds) > 1e-9 {
-		t.Errorf("exec differs: %v vs %v", phased.Report.ExecSeconds, static.Report.ExecSeconds)
+	if phased.Report != static.Report {
+		t.Errorf("report differs: %+v vs %+v", phased.Report, static.Report)
 	}
-	if math.Abs(phased.Report.TotalJ()-static.Report.TotalJ()) > 1e-6 {
-		t.Errorf("energy differs: %v vs %v", phased.Report.TotalJ(), static.Report.TotalJ())
+	if !reflect.DeepEqual(phased.Phases, static.Phases) {
+		t.Error("per-phase results differ")
+	}
+}
+
+// recorder is a Controller stub: it replays configs and records every call
+// the phase loop makes.
+type recorder struct {
+	configs  []platform.VFIConfig
+	prevs    []*PhaseObservation
+	indexes  []int
+	kinds    []PhaseKind
+	last     *PhaseObservation
+	finishes int
+}
+
+func (r *recorder) Decide(prev *PhaseObservation, index int, kind PhaseKind) platform.VFIConfig {
+	r.prevs = append(r.prevs, prev)
+	r.indexes = append(r.indexes, index)
+	r.kinds = append(r.kinds, kind)
+	return r.configs[index]
+}
+
+func (r *recorder) Finish(last *PhaseObservation) {
+	r.finishes++
+	r.last = last
+}
+
+func TestControllerContract(t *testing.T) {
+	w := testWorkload()
+	s := nvfi(t)
+	// alternate island 0 between two rails so every boundary transitions
+	lowCfg := s.VFI.Clone()
+	lowCfg.Points[0] = platform.OperatingPoint{VoltageV: 0.8, FreqGHz: 2.0}
+	configs := make([]platform.VFIConfig, len(w.Phases))
+	for i := range configs {
+		configs[i] = s.VFI
+		if i%2 == 1 {
+			configs[i] = lowCfg
+		}
+	}
+	tr := DVFSTransition{SettleSec: 0.01, EnergyJ: 0.5}
+	rec := &recorder{configs: configs}
+	res, err := RunGoverned(w, s, rec, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the same plan with free transitions: the phases as executed
+	free, err := RunGoverned(w, s, &recorder{configs: configs}, DVFSTransition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System != s.Name+"+governed" {
+		t.Errorf("system = %q", res.System)
+	}
+	if len(rec.indexes) != len(w.Phases) {
+		t.Fatalf("%d Decide calls for %d phases", len(rec.indexes), len(w.Phases))
+	}
+	if rec.prevs[0] != nil {
+		t.Error("first Decide got an observation")
+	}
+	for i, idx := range rec.indexes {
+		if idx != i || rec.kinds[i] != w.Phases[i].Kind {
+			t.Errorf("Decide call %d got phase %d (%v), want %d (%v)", i, idx, rec.kinds[i], i, w.Phases[i].Kind)
+		}
+		if i > 0 && (rec.prevs[i] == nil || rec.prevs[i].Index != i-1) {
+			t.Errorf("Decide call %d did not observe phase %d", i, i-1)
+		}
+	}
+	if rec.finishes != 1 {
+		t.Fatalf("Finish called %d times", rec.finishes)
+	}
+	lastIdx := len(w.Phases) - 1
+	if rec.last == nil || rec.last.Index != lastIdx || rec.last.Kind != w.Phases[lastIdx].Kind {
+		t.Fatalf("Finish got %+v, want the observation of phase %d", rec.last, lastIdx)
+	}
+	// observations exclude the transition stall charged to the phase
+	if rec.last.Seconds != free.Phases[lastIdx].Seconds {
+		t.Errorf("last observation lasts %v s, want the executed %v s", rec.last.Seconds, free.Phases[lastIdx].Seconds)
+	}
+	if res.Phases[lastIdx].Seconds <= rec.last.Seconds {
+		t.Errorf("last phase %v s carries no transition stall over its observed %v s",
+			res.Phases[lastIdx].Seconds, rec.last.Seconds)
+	}
+
+	// a controller that moves a core between islands is rejected
+	migrate := make([]platform.VFIConfig, len(configs))
+	copy(migrate, configs)
+	migrate[1] = s.VFI.Clone()
+	migrate[1].Points = append(migrate[1].Points, platform.OperatingPoint{VoltageV: 0.8, FreqGHz: 2.0})
+	migrate[1].Assign[0] = 1
+	if _, err := RunGoverned(w, s, &recorder{configs: migrate}, DVFSTransition{}); err == nil {
+		t.Error("island migration accepted")
 	}
 }
 
