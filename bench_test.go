@@ -37,7 +37,7 @@ func benchSuite(b *testing.B) *expt.Suite {
 	suiteOnce.Do(func() {
 		suite = expt.NewSuite(expt.DefaultConfig())
 		// warm every pipeline so per-figure benchmarks measure the driver
-		if err := suite.Prewarm(expt.AppOrder...); err != nil {
+		if _, err := suite.Pipelines(expt.AppOrder...); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -54,7 +54,7 @@ func BenchmarkPipelineBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.BuildPipeline(cfg, app); err != nil {
+		if _, err := expt.BuildPipelineObserved(cfg, app, nil, "", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

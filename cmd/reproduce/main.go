@@ -173,7 +173,7 @@ func main() {
 	if len(prewarm) > 0 {
 		obs.Logf("reproduce: prewarming %d pipeline(s): %s", len(prewarm), strings.Join(prewarm, " "))
 		sp := obs.StartSpan("prewarm", strings.Join(prewarm, " "))
-		err := suite.Prewarm(prewarm...)
+		_, err := suite.Pipelines(prewarm...)
 		sp.End()
 		if err != nil {
 			fail(err)

@@ -23,19 +23,16 @@ var Fig2Apps = []string{"kmeans", "pca", "mm", "hist"}
 
 // Fig2 reproduces the utilization distributions.
 func (s *Suite) Fig2() ([]Fig2Row, error) {
-	if err := s.Prewarm(Fig2Apps...); err != nil {
+	pls, err := s.Pipelines(Fig2Apps...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig2Row
-	for _, name := range Fig2Apps {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, pl := range pls {
 		sorted := append([]float64(nil), pl.Profile.Util...)
 		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 		rows = append(rows, Fig2Row{
-			App:     name,
+			App:     pl.App.Name,
 			Sorted:  sorted,
 			Average: stats.Mean(sorted),
 		})
@@ -70,19 +67,16 @@ var Fig4Apps = []string{"pca", "hist", "mm"}
 
 // Fig4 reproduces the VFI 1 vs VFI 2 comparison.
 func (s *Suite) Fig4() ([]Fig4Row, error) {
-	if err := s.Prewarm(Fig4Apps...); err != nil {
+	pls, err := s.Pipelines(Fig4Apps...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig4Row
-	for _, name := range Fig4Apps {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, pl := range pls {
 		e1, _, d1 := pl.VFI1Mesh.Report.Relative(pl.Baseline.Report)
 		e2, _, d2 := pl.VFI2Mesh.Report.Relative(pl.Baseline.Report)
 		rows = append(rows, Fig4Row{
-			App: name, ExecVFI1: e1, ExecVFI2: e2, EDPVFI1: d1, EDPVFI2: d2,
+			App: pl.App.Name, ExecVFI1: e1, ExecVFI2: e2, EDPVFI1: d1, EDPVFI2: d2,
 		})
 	}
 	return rows, nil
@@ -110,17 +104,14 @@ type Fig5Row struct {
 
 // Fig5 reproduces the bottleneck-core comparison for PCA, HIST and MM.
 func (s *Suite) Fig5() ([]Fig5Row, error) {
-	if err := s.Prewarm(Fig4Apps...); err != nil {
+	pls, err := s.Pipelines(Fig4Apps...) // same three applications
+	if err != nil {
 		return nil, err
 	}
 	var rows []Fig5Row
-	for _, name := range Fig4Apps { // same three applications
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, pl := range pls {
 		rows = append(rows, Fig5Row{
-			App:            name,
+			App:            pl.App.Name,
 			AverageUtil:    stats.Mean(pl.Profile.Util),
 			BottleneckUtil: stats.Max(pl.Profile.Util),
 		})

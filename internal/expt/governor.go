@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/governor"
 	"wivfi/internal/platform"
@@ -107,61 +106,48 @@ type GovernorRow struct {
 // each benchmark fan out over the suite pool; results land in fixed slots
 // so row order and content are deterministic at any parallelism.
 func (s *Suite) GovernorStudy(capW float64) ([]GovernorRow, error) {
-	if err := s.Prewarm(AppOrder...); err != nil {
+	pls, err := s.Pipelines(AppOrder...)
+	if err != nil {
 		return nil, err
 	}
 	policies := []governor.Policy{governor.Static, governor.Util, governor.Cap}
-	rows := make([]GovernorRow, len(AppOrder))
-	errs := make([]error, len(AppOrder)*len(policies))
-	var wg sync.WaitGroup
-	for i, name := range AppOrder {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	np := len(policies)
+	rows := make([]GovernorRow, len(pls))
+	meshSys := make([]*sim.System, len(pls))
+	for i, pl := range pls {
 		rows[i].App = pl.App.Name
 		rows[i].CapW = capW
-		meshSys, err := sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic)
-		if err != nil {
+		if meshSys[i], err = sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic); err != nil {
 			return nil, err
-		}
-		for p, pol := range policies {
-			wg.Add(1)
-			go func(i, p int, pl *Pipeline, pol governor.Policy, meshSys *sim.System) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:governor", pl.App.Name, func() {
-					run, sum, err := governedRun(s.Config, pl.Workload, pl.Plan, meshSys, pol, capW, nil, nil)
-					if err != nil {
-						errs[i*len(policies)+p] = err
-						return
-					}
-					exec, _, edp := run.Report.Relative(pl.Baseline.Report)
-					r := &rows[i]
-					switch pol {
-					case governor.Static:
-						r.ExecStatic, r.StaticEDP = exec, edp
-						r.MaxPowerStaticW = sum.MaxPowerW
-					case governor.Util:
-						r.ExecUtil, r.UtilEDP = exec, edp
-						r.MaxPowerUtilW = sum.MaxPowerW
-						r.UtilTransitions = sum.Transitions
-					case governor.Cap:
-						r.ExecCap, r.CapEDP = exec, edp
-						r.MaxPowerCapW = sum.MaxPowerW
-						r.WorstCaseCapW = sum.WorstCasePowerW
-						r.CapTransitions = sum.Transitions
-						r.Sheds = sum.Sheds
-						r.Violations = sum.CapViolations
-					}
-				})
-			}(i, p, pl, pol, meshSys)
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	err = s.pool.Each(len(pls)*np, func(j int) (string, string) { return "sim:governor", pls[j/np].App.Name }, func(j int) error {
+		pl, r, pol := pls[j/np], &rows[j/np], policies[j%np]
+		run, sum, err := governedRun(s.Config, pl.Workload, pl.Plan, meshSys[j/np], pol, capW, nil, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		exec, _, edp := run.Report.Relative(pl.Baseline.Report)
+		switch pol {
+		case governor.Static:
+			r.ExecStatic, r.StaticEDP = exec, edp
+			r.MaxPowerStaticW = sum.MaxPowerW
+		case governor.Util:
+			r.ExecUtil, r.UtilEDP = exec, edp
+			r.MaxPowerUtilW = sum.MaxPowerW
+			r.UtilTransitions = sum.Transitions
+		case governor.Cap:
+			r.ExecCap, r.CapEDP = exec, edp
+			r.MaxPowerCapW = sum.MaxPowerW
+			r.WorstCaseCapW = sum.WorstCasePowerW
+			r.CapTransitions = sum.Transitions
+			r.Sheds = sum.Sheds
+			r.Violations = sum.CapViolations
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

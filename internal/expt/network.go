@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/sim"
 	"wivfi/internal/topo"
@@ -74,53 +73,38 @@ type KIntraRow struct {
 // simulations are independent, so they fan out over the suite's pool; the
 // row order stays AppOrder regardless of completion order.
 func (s *Suite) KIntraSweep() ([]KIntraRow, error) {
-	if err := s.Prewarm(AppOrder...); err != nil {
+	pls, err := s.Pipelines(AppOrder...)
+	if err != nil {
 		return nil, err
 	}
-	rows := make([]KIntraRow, len(AppOrder))
+	rows := make([]KIntraRow, len(pls))
 	variants := []struct{ kIntra, kInter float64 }{{3, 1}, {2, 2}}
-	errs := make([]error, len(AppOrder)*len(variants))
-	var wg sync.WaitGroup
-	for i, name := range AppOrder {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	nv := len(variants)
+	for i, pl := range pls {
 		rows[i].App = pl.App.Name
-		for v, variant := range variants {
-			wg.Add(1)
-			go func(i, v int, pl *Pipeline, kIntra, kInter float64) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:kintra-sweep", pl.App.Name, func() {
-					cfg := s.Config.Build
-					cfg.SmallWorld.KIntra = kIntra
-					cfg.SmallWorld.KInter = kInter
-					sys, err := sim.VFIWiNoC(cfg, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
-					if err != nil {
-						errs[i*len(variants)+v] = err
-						return
-					}
-					res, err := sim.Run(pl.Workload, sys)
-					if err != nil {
-						errs[i*len(variants)+v] = err
-						return
-					}
-					if v == 0 {
-						rows[i].EDP31 = networkEDP(res)
-						rows[i].Exec31 = res.Report.ExecSeconds
-					} else {
-						rows[i].EDP22 = networkEDP(res)
-						rows[i].Exec22 = res.Report.ExecSeconds
-					}
-				})
-			}(i, v, pl, variant.kIntra, variant.kInter)
-		}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	err = s.pool.Each(len(pls)*nv, func(j int) (string, string) { return "sim:kintra-sweep", pls[j/nv].App.Name }, func(j int) error {
+		pl, r, variant := pls[j/nv], &rows[j/nv], variants[j%nv]
+		cfg := s.Config.Build
+		cfg.SmallWorld.KIntra = variant.kIntra
+		cfg.SmallWorld.KInter = variant.kInter
+		sys, err := sim.VFIWiNoC(cfg, pl.Plan.VFI2, pl.Profile.Traffic, pl.BestStrategy)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		res, err := sim.Run(pl.Workload, sys)
+		if err != nil {
+			return err
+		}
+		if j%nv == 0 {
+			r.EDP31, r.Exec31 = networkEDP(res), res.Report.ExecSeconds
+		} else {
+			r.EDP22, r.Exec22 = networkEDP(res), res.Report.ExecSeconds
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

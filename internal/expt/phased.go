@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wivfi/internal/platform"
 	"wivfi/internal/sim"
@@ -35,61 +34,49 @@ type PhasedRow struct {
 // with no core on the critical path (Kmeans' idle half during iteration two
 // is the showcase).
 func (s *Suite) PhaseAdaptiveStudy() ([]PhasedRow, error) {
-	if err := s.Prewarm(AppOrder...); err != nil {
+	pls, err := s.Pipelines(AppOrder...)
+	if err != nil {
 		return nil, err
 	}
 	table := platform.DefaultDVFSTable()
-	rows := make([]PhasedRow, len(AppOrder))
+	rows := make([]PhasedRow, len(pls))
 	modes := []sim.PhaseUtilMode{sim.PhaseUtilMean, sim.PhaseUtilMaxCore}
-	errs := make([]error, len(AppOrder)*len(modes))
-	var wg sync.WaitGroup
-	for i, name := range AppOrder {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return nil, err
-		}
+	nm := len(modes)
+	// The mesh system is read-only under RunPhased (it simulates on a
+	// copy), so both controller runs of an app share it and fan out.
+	meshSys := make([]*sim.System, len(pls))
+	for i, pl := range pls {
 		rows[i].App = pl.App.Name
 		rows[i].ExecStatic, _, rows[i].StaticEDP = pl.VFI2Mesh.Report.Relative(pl.Baseline.Report)
-		// The mesh system is read-only under RunPhased (it simulates on a
-		// copy), so both controller runs can share it and fan out.
-		meshSys, err := sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic)
-		if err != nil {
+		if meshSys[i], err = sim.VFIMesh(s.Config.Build, pl.Plan.VFI2, pl.Profile.Traffic); err != nil {
 			return nil, err
-		}
-		for m, mode := range modes {
-			wg.Add(1)
-			go func(i, m int, pl *Pipeline, mode sim.PhaseUtilMode, meshSys *sim.System) {
-				defer wg.Done()
-				s.pool.DoNamed("sim:phased-dvfs", pl.App.Name, func() {
-					configs := sim.PhaseConfigs(pl.Baseline, pl.Plan.VFI2, table, s.Config.VFI.FreqMargin, mode)
-					phased, err := sim.RunPhased(pl.Workload, meshSys, configs, sim.DefaultDVFSTransition())
-					if err != nil {
-						errs[i*len(modes)+m] = err
-						return
-					}
-					exec, _, edp := phased.Report.Relative(pl.Baseline.Report)
-					if mode == sim.PhaseUtilMean {
-						rows[i].ExecMean, rows[i].MeanEDP = exec, edp
-					} else {
-						rows[i].ExecMaxCore, rows[i].MaxCoreEDP = exec, edp
-						for p := 1; p < len(configs); p++ {
-							for j := range configs[p].Points {
-								if configs[p].Points[j] != configs[p-1].Points[j] {
-									rows[i].Transitions++
-									break
-								}
-							}
-						}
-					}
-				})
-			}(i, m, pl, mode, meshSys)
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
+	err = s.pool.Each(len(pls)*nm, func(j int) (string, string) { return "sim:phased-dvfs", pls[j/nm].App.Name }, func(j int) error {
+		pl, r, mode := pls[j/nm], &rows[j/nm], modes[j%nm]
+		configs := sim.PhaseConfigs(pl.Baseline, pl.Plan.VFI2, table, s.Config.VFI.FreqMargin, mode)
+		phased, err := sim.RunPhased(pl.Workload, meshSys[j/nm], configs, sim.DefaultDVFSTransition())
 		if err != nil {
-			return nil, err
+			return err
 		}
+		exec, _, edp := phased.Report.Relative(pl.Baseline.Report)
+		if mode == sim.PhaseUtilMean {
+			r.ExecMean, r.MeanEDP = exec, edp
+			return nil
+		}
+		r.ExecMaxCore, r.MaxCoreEDP = exec, edp
+		for p := 1; p < len(configs); p++ {
+			for k := range configs[p].Points {
+				if configs[p].Points[k] != configs[p-1].Points[k] {
+					r.Transitions++
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

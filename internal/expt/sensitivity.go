@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"wivfi/internal/sim"
 	"wivfi/internal/vfi"
@@ -42,48 +41,35 @@ func (s *Suite) MarginSweep(appName string, margins []float64) ([]MarginRow, err
 	// the shared profile — independent work, fanned out over the pool with
 	// rows assembled in argument order.
 	rows := make([]MarginRow, len(margins))
-	errs := make([]error, len(margins))
-	var wg sync.WaitGroup
-	for i, m := range margins {
-		wg.Add(1)
-		go func(i int, m float64) {
-			defer wg.Done()
-			s.pool.DoNamed("sim:margin-sweep", appName, func() {
-				opts := s.Config.VFI
-				opts.FreqMargin = m
-				plan, err := vfi.Design(pl.Profile, opts)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				sys, err := sim.VFIMesh(s.Config.Build, plan.VFI2, pl.Profile.Traffic)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				run, err := sim.Run(pl.Workload, sys)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				var fs []float64
-				for _, p := range plan.VFI2.Points {
-					fs = append(fs, p.FreqGHz)
-				}
-				sort.Float64s(fs)
-				exec, _, edp := run.Report.Relative(pl.Baseline.Report)
-				rows[i] = MarginRow{
-					App: appName, Margin: m, Freqs: fs,
-					ExecRatio: exec, EDPRatio: edp,
-				}
-			})
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = s.pool.Each(len(margins), func(int) (string, string) { return "sim:margin-sweep", appName }, func(i int) error {
+		opts := s.Config.VFI
+		opts.FreqMargin = margins[i]
+		plan, err := vfi.Design(pl.Profile, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		sys, err := sim.VFIMesh(s.Config.Build, plan.VFI2, pl.Profile.Traffic)
+		if err != nil {
+			return err
+		}
+		run, err := sim.Run(pl.Workload, sys)
+		if err != nil {
+			return err
+		}
+		var fs []float64
+		for _, p := range plan.VFI2.Points {
+			fs = append(fs, p.FreqGHz)
+		}
+		sort.Float64s(fs)
+		exec, _, edp := run.Report.Relative(pl.Baseline.Report)
+		rows[i] = MarginRow{
+			App: appName, Margin: margins[i], Freqs: fs,
+			ExecRatio: exec, EDPRatio: edp,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -101,12 +101,6 @@ func (ob *BuildObserver) cache(hit bool) {
 	}
 }
 
-// BuildPipeline runs the full flow for one benchmark, serially and without
-// a disk cache. The Suite path adds coalescing, fan-out and caching.
-func BuildPipeline(cfg Config, app *apps.App) (*Pipeline, error) {
-	return buildPipeline(cfg, app, nil, "", nil, nil)
-}
-
 // BuildDesign runs the design flow alone — probe simulation, clustering
 // and V/F assignment, or a load from the config-keyed disk cache — without
 // simulating the derived systems. It is the entry point for callers (the
@@ -195,34 +189,19 @@ func buildPipeline(cfg Config, app *apps.App, pool *sim.Pool, cacheDir string, s
 			return sim.VFIWiNoC(cfg.Build, plan.VFI2, prof.Traffic, sim.MaxWireless)
 		}},
 	}
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, job := range jobs {
-		wg.Add(1)
-		go func(i int, stage string, dst **sim.RunResult, build func() (*sim.System, error)) {
-			defer wg.Done()
-			pool.DoNamed(stage, app.Name, func() {
-				ob.stage(stage, "start")
-				defer ob.stage(stage, "done")
-				sys, err := build()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				res, err := sim.Run(w, sys)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				*dst = res
-			})
-		}(i, job.stage, job.dst, job.build)
-	}
-	wg.Wait()
-	for _, err := range errs { // first error in fixed job order, deterministically
+	err = pool.Each(len(jobs), func(i int) (string, string) { return jobs[i].stage, app.Name }, func(i int) error {
+		job := jobs[i]
+		ob.stage(job.stage, "start")
+		defer ob.stage(job.stage, "done")
+		sys, err := job.build()
 		if err != nil {
-			return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
+			return err
 		}
+		*job.dst, err = sim.Run(w, sys)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("expt: %s: %w", app.Name, err)
 	}
 
 	pl.WiNoC[sim.MinHop] = wiMinHop
@@ -386,30 +365,29 @@ func (s *Suite) CacheStats() CacheStats {
 	}
 }
 
-// Prewarm builds the named pipelines (all of AppOrder when none are given)
-// concurrently and returns the first error in argument order. It is the
-// fan-out entry point for cmd/reproduce -j and the benchmarks; afterwards
-// every Pipeline call is a cache hit.
-func (s *Suite) Prewarm(names ...string) error {
-	if len(names) == 0 {
-		names = AppOrder
-	}
+// Pipelines returns the named pipelines in argument order, building the
+// missing ones concurrently, and the first error in argument order. It is
+// the fan-out entry point for cmd/reproduce -j, the figure drivers and the
+// benchmarks. It holds no pool slot itself: every build acquires the
+// suite pool for its own stages, so this is a plain goroutine fan-out.
+func (s *Suite) Pipelines(names ...string) ([]*Pipeline, error) {
+	pls := make([]*Pipeline, len(names))
 	errs := make([]error, len(names))
 	var wg sync.WaitGroup
+	wg.Add(len(names))
 	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = s.Pipeline(name)
-		}(i, name)
+			pls[i], errs[i] = s.Pipeline(name)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return pls, nil
 }
 
 // AppOrder is the benchmark ordering used by the figure drivers (Fig. 8's
@@ -417,17 +395,14 @@ func (s *Suite) Prewarm(names ...string) error {
 var AppOrder = []string{"mm", "wc", "pca", "lr", "hist", "kmeans"}
 
 // ForEach runs fn over every benchmark pipeline in AppOrder. The pipelines
-// are prewarmed concurrently; fn itself runs serially in AppOrder so
-// drivers emit rows deterministically.
+// build concurrently; fn itself runs serially in AppOrder so drivers emit
+// rows deterministically.
 func (s *Suite) ForEach(fn func(*Pipeline) error) error {
-	if err := s.Prewarm(AppOrder...); err != nil {
+	pls, err := s.Pipelines(AppOrder...)
+	if err != nil {
 		return err
 	}
-	for _, name := range AppOrder {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return err
-		}
+	for _, pl := range pls {
 		if err := fn(pl); err != nil {
 			return err
 		}

@@ -47,14 +47,12 @@ func (s *Suite) CollectTimelines(col *timeline.Collector, names ...string) error
 	if len(names) == 0 {
 		names = AppOrder
 	}
-	if err := s.Prewarm(names...); err != nil {
+	pls, err := s.Pipelines(names...)
+	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		pl, err := s.Pipeline(name)
-		if err != nil {
-			return err
-		}
+	for _, pl := range pls {
+		name := pl.App.Name
 		col.AddSeries(pipelineTimelines(pl)...)
 		gs, err := governorTimelines(s.Config, pl)
 		if err != nil {

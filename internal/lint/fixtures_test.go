@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,17 +21,29 @@ func fixtureRoot(t *testing.T) string {
 	return abs
 }
 
+// fixtureLoader is the one Loader all fixture tests share, so the stdlib
+// and repo packages the fixtures import are type-checked once per test
+// binary rather than once per test. A Loader is not safe for concurrent
+// use: tests that load fixtures must not call t.Parallel.
+var fixtureLoader = sync.OnceValues(func() (*Loader, error) {
+	mod, err := FindModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(mod), nil
+})
+
 // loadFixtures loads the named fixture packages (dir names under
 // testdata/lint) through the production loader, under their real
 // module-qualified import paths so fixtures can import repo packages.
 func loadFixtures(t *testing.T, names ...string) (*Module, []*Package, string) {
 	t.Helper()
-	mod, err := FindModule(".")
+	loader, err := fixtureLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
+	mod := loader.Module
 	root := fixtureRoot(t)
-	loader := NewLoader(mod)
 	var pkgs []*Package
 	for _, name := range names {
 		dir := filepath.Join(root, name)

@@ -141,10 +141,10 @@ type Config struct {
 	// MetricFuncs are the constructors whose name argument must be a
 	// declared constant, qualified as "import/path.FuncName".
 	MetricFuncs []string
-	// PoolTypes are the bounded worker-pool types whose Do/DoNamed methods
-	// acquire an admission slot, qualified as "import/path.TypeName";
-	// poolsafe guards their nested acquisition, locksafe and leaksafe
-	// treat them as blocking/joining primitives.
+	// PoolTypes are the bounded worker-pool types whose Do/DoNamed/Each
+	// methods acquire an admission slot (Each one per job), qualified as
+	// "import/path.TypeName"; poolsafe guards their nested acquisition,
+	// locksafe and leaksafe treat them as blocking/joining primitives.
 	PoolTypes []string
 	// HashRoots are the struct types whose JSON serialization feeds the
 	// design-cache content hash; cachekey audits every struct reachable
@@ -325,6 +325,7 @@ func (s *Suite) Run(pkgs []*Package) []Finding {
 		}
 	}
 	for _, pkg := range analyzed {
+		pkg.suppressions.reset() // a second Run over the same packages audits afresh
 		for _, a := range s.Analyzers {
 			a.Run(&Pass{Config: s.Config, Pkg: pkg, analyzer: a, suite: s})
 		}

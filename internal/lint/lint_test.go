@@ -273,6 +273,28 @@ func TestStaleSuppressionStillFires(t *testing.T) {
 	}
 }
 
+// TestStaleSuppressionAuditsAfresh pins that Run is repeatable over
+// shared packages: det_neg's //lint:wallclock annotations are used while
+// det_neg is a result package, and must read stale on a later run that
+// leaves it out instead of staying marked used from the first run.
+func TestStaleSuppressionAuditsAfresh(t *testing.T) {
+	mod, pkgs, root := loadFixtures(t, "det_neg")
+	cfg := DefaultConfig(mod.Path)
+	cfg.ResultPackages = append(cfg.ResultPackages, fixturePath(mod, root, "det_neg"))
+	for _, f := range NewSuite(cfg, root).Run(pkgs) {
+		t.Errorf("unexpected finding with det_neg as a result package: %s", f)
+	}
+	stale := false
+	for _, f := range NewSuite(DefaultConfig(mod.Path), root).Run(pkgs) {
+		if f.Analyzer == "annotation" && strings.Contains(f.Message, "stale") {
+			stale = true
+		}
+	}
+	if !stale {
+		t.Error("a rerun without det_neg in ResultPackages should report its unused annotations stale")
+	}
+}
+
 // TestDefaultConfigCoversRoadmapPackages guards the config against drift:
 // every result-producing package named in the issue stays enforced.
 func TestDefaultConfigCoversRoadmapPackages(t *testing.T) {

@@ -2,9 +2,9 @@ package lint
 
 // poolsafe: no function transitively reachable while holding a sim.Pool
 // slot may acquire from the same pool. A pool slot is held for the whole
-// dynamic extent of the job passed to Do/DoNamed; if that job (or anything
-// it calls, or a goroutine it launches and joins) acquires from the same
-// pool, the run deadlocks as soon as the pool saturates — every slot
+// dynamic extent of the job passed to Do/DoNamed/Each; if that job (or
+// anything it calls, or a goroutine it launches and joins) acquires from
+// the same pool, the run deadlocks as soon as the pool saturates — every slot
 // holder is waiting for a slot. PR 9 hit exactly this between the sweep's
 // scenario pool and the experiment pipeline's stage pool and had to inline
 // the inner pipeline by hand; this analyzer machine-checks the fix.
@@ -34,7 +34,7 @@ var PoolSafeAnalyzer = &Analyzer{
 	Run:  runPoolSafe,
 }
 
-// poolAcquire classifies call as a slot acquisition (Do/DoNamed on a
+// poolAcquire classifies call as a slot acquisition (Do/DoNamed/Each on a
 // configured pool type) and returns the receiver and the job argument.
 func poolAcquire(cfg Config, info *types.Info, call *ast.CallExpr) (recv, job ast.Expr, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -42,7 +42,7 @@ func poolAcquire(cfg Config, info *types.Info, call *ast.CallExpr) (recv, job as
 		return nil, nil, false
 	}
 	fn := staticCallee(info, call)
-	if fn == nil || (fn.Name() != "Do" && fn.Name() != "DoNamed") {
+	if fn == nil || (fn.Name() != "Do" && fn.Name() != "DoNamed" && fn.Name() != "Each") {
 		return nil, nil, false
 	}
 	sig := fn.Type().(*types.Signature)

@@ -70,5 +70,12 @@ func (s *suppressionSet) use(file string, line int, key string) bool {
 	return false
 }
 
+// reset clears every used mark, so the next run audits staleness afresh.
+func (s *suppressionSet) reset() {
+	for _, sup := range s.order {
+		sup.used = false
+	}
+}
+
 // all returns every annotation in source order.
 func (s *suppressionSet) all() []*suppression { return s.order }

@@ -59,3 +59,23 @@ func sequential(pool *sim.Pool, jobs []func()) {
 		pool.Do(j)
 	}
 }
+
+func label(int) (string, string) { return "job", "" }
+
+// eachFresh fans a job's inner stages out over a newly constructed pool,
+// which can never be the held one.
+func eachFresh(pool *sim.Pool, n int) error {
+	return pool.Each(n, label, func(int) error {
+		return sim.NewPool(1).Each(n, label, func(int) error { return nil })
+	})
+}
+
+// eachNil fans the inner stages out over a nil pool, which holds no slot.
+func eachNil(pool *sim.Pool, n int) (err error) {
+	pool.Do(func() { err = fanInline(nil, n) })
+	return err
+}
+
+func fanInline(inner *sim.Pool, n int) error {
+	return inner.Each(n, label, func(int) error { return nil })
+}

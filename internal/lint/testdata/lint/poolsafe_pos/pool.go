@@ -77,3 +77,23 @@ func viaLookup(pool *sim.Pool) {
 		lookup("inner").Do(func() {})
 	})
 }
+
+// label names every fan-out job the same; the shapes below are about the
+// job bodies.
+func label(int) (string, string) { return "job", "" }
+
+// nestedEach fans out again over the held pool from inside an Each job:
+// each job holds a slot while its own children wait for one.
+func nestedEach(pool *sim.Pool, n int) error {
+	return pool.Each(n, label, func(int) error {
+		return pool.Each(n, label, func(int) error { return nil })
+	})
+}
+
+// doInEach acquires the held pool with Do from an Each job.
+func doInEach(pool *sim.Pool, work []func()) error {
+	return pool.Each(len(work), label, func(i int) error {
+		pool.Do(work[i])
+		return nil
+	})
+}

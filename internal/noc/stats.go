@@ -59,20 +59,28 @@ func (s *DESStats) HottestLink() LinkStat {
 // as a delivery hook (an earlier version re-ran the whole simulation for
 // it), so the only extra cost over RunDES is the link accounting.
 func RunDESInstrumented(rt *RouteTable, packets []Packet, nm energy.NetworkModel, cfg DESConfig) (*DESStats, error) {
+	return runDESStats(rt, packets, nm, cfg, desHooks{})
+}
+
+// runDESStats is the one DESStats assembly behind RunDESInstrumented and
+// RunDESTimeline: it runs the simulation once under hooks, capturing every
+// delivered packet's latency ahead of hooks.onDeliver, then adds the
+// static per-link accounting and sorts the latencies.
+func runDESStats(rt *RouteTable, packets []Packet, nm energy.NetworkModel, cfg DESConfig, hooks desHooks) (*DESStats, error) {
 	lats := make([]int64, 0, len(packets))
-	base, err := runDESHooked(rt, packets, nm, cfg, desHooks{
-		onDeliver: func(id int, latency int64) {
-			lats = append(lats, latency)
-		},
-	})
+	observe := hooks.onDeliver
+	hooks.onDeliver = func(id int, latency int64) {
+		lats = append(lats, latency)
+		if observe != nil {
+			observe(id, latency)
+		}
+	}
+	base, err := runDESHooked(rt, packets, nm, cfg, hooks)
 	if err != nil {
 		return nil, err
 	}
-	stats := &DESStats{DESResult: base}
-	stats.Links = staticLinkStats(rt, packets, base.Cycles)
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	stats.Latencies = lats
-	return stats, nil
+	return &DESStats{DESResult: base, Latencies: lats, Links: staticLinkStats(rt, packets, base.Cycles)}, nil
 }
 
 // staticLinkStats derives per-directed-link flit counts from the static

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"wivfi/internal/energy"
 	"wivfi/internal/timeline"
@@ -108,23 +107,12 @@ func (p *linkProbe) series(prefix string) []timeline.Series {
 func RunDESTimeline(rt *RouteTable, packets []Packet, nm energy.NetworkModel, cfg DESConfig, prefix string) (*DESStats, []timeline.Series, error) {
 	probe := newLinkProbe(rt, DefaultLinkWindow)
 	hist := timeline.NewHistogram(timeline.Meta{Name: prefix + "latency", IndexUnit: "cycles", Unit: "cycles"})
-	lats := make([]int64, 0, len(packets))
-	base, err := runDESHooked(rt, packets, nm, cfg, desHooks{
-		onDeliver: func(id int, latency int64) {
-			lats = append(lats, latency)
-			hist.Observe(latency)
-		},
+	stats, err := runDESStats(rt, packets, nm, cfg, desHooks{
+		onDeliver: func(_ int, latency int64) { hist.Observe(latency) },
 		onForward: probe.record,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &DESStats{DESResult: base}
-	stats.Links = staticLinkStats(rt, packets, base.Cycles)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	stats.Latencies = lats
-
-	series := probe.series(prefix)
-	series = append(series, hist.Series())
-	return stats, series, nil
+	return stats, append(probe.series(prefix), hist.Series()), nil
 }

@@ -73,7 +73,7 @@ func TestDesignResultMatchesDirectPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := expt.BuildPipeline(s.Base(), app)
+	pl, err := expt.BuildPipelineObserved(s.Base(), app, nil, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

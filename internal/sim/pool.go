@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"wivfi/internal/obs"
@@ -33,9 +34,10 @@ var (
 // any number of goroutines may queue work, at most cap(sem) of them compute
 // at once.
 //
-// A nil *Pool is valid and runs every job inline, which keeps call sites
-// free of nil checks and makes serial execution (-j 1 semantics with no
-// pool at all) trivially available.
+// A nil *Pool is valid and admits every job at once, which keeps call
+// sites free of nil checks: Do runs its job inline on the caller's
+// goroutine, but Each still starts all its jobs concurrently, so a nil
+// pool is unbounded, not serial. Serial execution is NewPool(1).
 type Pool struct {
 	// sem carries the slot ids 0..n-1; holding an id is holding an
 	// admission slot. The id keys the per-slot trace track, so a Chrome
@@ -61,7 +63,7 @@ func DefaultPool() *Pool {
 	return NewPool(runtime.GOMAXPROCS(0))
 }
 
-// Size reports the admission bound (1 for a nil pool).
+// Size reports the admission bound (1 for a nil pool, whose Do runs inline).
 func (p *Pool) Size() int {
 	if p == nil {
 		return 1
@@ -104,4 +106,30 @@ func (p *Pool) DoNamed(name, detail string, fn func()) {
 		defer sp.End()
 	}
 	fn()
+}
+
+// Each runs job(0), ..., job(n-1) on their own goroutines, each holding
+// one admission slot through DoNamed under the span name and detail that
+// label(i) returns, waits for all of them, and returns the error of the
+// lowest-indexed job that failed (nil if none did). Every job runs even
+// when another fails, so the returned error does not depend on completion
+// order. Jobs must not acquire from p themselves (see Do).
+func (p *Pool) Each(n int, label func(i int) (name, detail string), job func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			name, detail := label(i)
+			p.DoNamed(name, detail, func() { errs[i] = job(i) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"wivfi/internal/apps"
@@ -68,6 +68,8 @@ type Result struct {
 // fans the remainder over a bounded worker pool, journals each record as
 // it lands and aggregates everything into the atlas. Scenario failures are
 // recorded, not fatal; Run errors only on spec, journal or I/O problems.
+// A failed journal append does not stop the other scenarios; once all
+// have run, Run returns the append error of the lowest-indexed scenario.
 func Run(spec *Spec, opts Options) (*Result, error) {
 	scenarios, infeasible, err := spec.Generate()
 	if err != nil {
@@ -76,17 +78,12 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	plannedCounter.Add(int64(len(scenarios)))
 
 	done := map[string]Record{}
-	if opts.JournalPath != "" {
-		prior, err := LoadJournal(opts.JournalPath)
-		if err != nil {
-			return nil, err
-		}
-		done = prior
-	}
 	var journal *Journal
 	if opts.JournalPath != "" {
-		journal, err = OpenJournal(opts.JournalPath)
-		if err != nil {
+		if done, err = LoadJournal(opts.JournalPath); err != nil {
+			return nil, err
+		}
+		if journal, err = OpenJournal(opts.JournalPath); err != nil {
 			return nil, err
 		}
 		defer journal.Close()
@@ -121,52 +118,35 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	}
 	pool := sim.NewPool(par)
 	fresh := make([]Record, len(todo))
-	var (
-		wg         sync.WaitGroup
-		journalErr error
-		mu         sync.Mutex // guards journalErr and the done counter below
-		completed  int
-	)
-	for i, sc := range todo {
-		wg.Add(1)
-		go func(i int, sc Scenario) {
-			defer wg.Done()
-			pool.DoNamed("sweep:scenario", sc.Label(), func() {
-				inFlightGauge.Add(1)
-				defer inFlightGauge.Add(-1)
-				rec := runScenario(sc, opts.CacheDir)
-				fresh[i] = rec
-				completedCounter.Add(1)
-				if rec.Error != "" {
-					errorCounter.Add(1)
-				}
-				if rec.DESDeviation > spec.AnalyticTolerance {
-					outlierCounter.Add(1)
-				}
-				obs.Logf("sweep: %s done in %d ms (cache_hit=%v err=%q)", sc.Label(), rec.WallMS, rec.CacheHit, rec.Error)
-				var jerr error
-				if journal != nil {
-					jerr = journal.Append(rec)
-				}
-				mu.Lock()
-				completed++
-				n := res.Resumed + completed
-				if jerr != nil && journalErr == nil {
-					journalErr = jerr
-				}
-				mu.Unlock()
-				if opts.OnRecord != nil {
-					opts.OnRecord(rec, false)
-				}
-				if opts.OnProgress != nil {
-					opts.OnProgress(n, res.Planned)
-				}
-			})
-		}(i, sc)
-	}
-	wg.Wait()
-	if journalErr != nil {
-		return nil, journalErr
+	var completed atomic.Int64 // progress counter across workers
+	err = pool.Each(len(todo), func(i int) (string, string) { return "sweep:scenario", todo[i].Label() }, func(i int) error {
+		inFlightGauge.Add(1)
+		defer inFlightGauge.Add(-1)
+		rec := runScenario(todo[i], opts.CacheDir)
+		fresh[i] = rec
+		completedCounter.Add(1)
+		if rec.Error != "" {
+			errorCounter.Add(1)
+		}
+		if rec.DESDeviation > spec.AnalyticTolerance {
+			outlierCounter.Add(1)
+		}
+		obs.Logf("sweep: %s done in %d ms (cache_hit=%v err=%q)", todo[i].Label(), rec.WallMS, rec.CacheHit, rec.Error)
+		var jerr error
+		if journal != nil {
+			jerr = journal.Append(rec)
+		}
+		n := res.Resumed + int(completed.Add(1))
+		if opts.OnRecord != nil {
+			opts.OnRecord(rec, false)
+		}
+		if opts.OnProgress != nil {
+			opts.OnProgress(n, res.Planned)
+		}
+		return jerr
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for _, rec := range fresh {
